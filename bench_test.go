@@ -179,23 +179,93 @@ func syntheticInput(b *testing.B, ne, k int) *scheduler.Input {
 	}
 }
 
+// allPairsLoad builds the control path at the scale R-Storm and Nasiri
+// et al. evaluate at: ntop topologies of 100 executors (10 spouts, then
+// 30-wide shuffle, fields and shuffle stages) with a flow along every
+// sender–receiver pair of every edge, as the live monitor observes shuffle
+// and fields groupings — 2100 flows per topology.
+func allPairsLoad(b *testing.B, ntop int) ([]*topology.Topology, *loaddb.DB) {
+	b.Helper()
+	stages := []struct {
+		name string
+		par  int
+	}{{"src", 10}, {"a", 30}, {"b", 30}, {"c", 30}}
+	db := loaddb.New(1)
+	var tops []*topology.Topology
+	for t := 0; t < ntop; t++ {
+		bld := topology.NewBuilder(fmt.Sprintf("topo-%02d", t), 20)
+		bld.Spout("src", 10).Output("default", "k")
+		bld.Bolt("a", 30).Shuffle("src").Output("default", "k")
+		bld.Bolt("b", 30).Fields("a", "k").Output("default", "k")
+		bld.Bolt("c", 30).Shuffle("b")
+		top, err := bld.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tops = append(tops, top)
+		for si, st := range stages {
+			for i := 0; i < st.par; i++ {
+				e := topology.ExecutorID{Topology: top.Name(), Component: st.name, Index: i}
+				db.UpdateExecutorLoad(e, float64(50+(i*31+t)%200))
+				if si == 0 {
+					continue
+				}
+				prev := stages[si-1]
+				for j := 0; j < prev.par; j++ {
+					from := topology.ExecutorID{Topology: top.Name(), Component: prev.name, Index: j}
+					db.UpdateTraffic(from, e, float64(1+(i*7+j*13+t)%50))
+				}
+			}
+		}
+	}
+	return tops, db
+}
+
 // BenchmarkAlgorithm1 measures the scheduling algorithm's own cost as the
-// problem grows — the paper claims O(N_e log N_e + N_e N_s).
+// problem grows — the paper claims O(N_e log N_e + N_e N_s). The last case
+// is the sched-scale regime: 1000 executors on 100 nodes with all-pairs
+// shuffle and fields traffic (21 000 flows).
 func BenchmarkAlgorithm1(b *testing.B) {
+	run := func(b *testing.B, in *scheduler.Input) {
+		ta := core.NewTrafficAware(2)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ta.Schedule(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, sz := range []struct{ ne, k int }{
 		{45, 10}, {100, 10}, {200, 20}, {400, 40}, {800, 40},
 	} {
 		b.Run(fmt.Sprintf("Ne=%d/Ns=%d", sz.ne, sz.k*4), func(b *testing.B) {
-			in := syntheticInput(b, sz.ne, sz.k)
-			ta := core.NewTrafficAware(2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ta.Schedule(in); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run(b, syntheticInput(b, sz.ne, sz.k))
 		})
+	}
+	b.Run("Ne=1000/Ns=400/all-pairs", func(b *testing.B) {
+		tops, db := allPairsLoad(b, 10)
+		cl, err := cluster.Uniform(100, 4, 2000, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, &scheduler.Input{Topologies: tops, Cluster: cl, Load: db.Snapshot()})
+	})
+}
+
+// BenchmarkLoadDBSnapshot measures the schedule generator's read of the
+// load database at the sched-scale size (1000 executors, 21 000 flows) in
+// steady state, where no flow key was added or removed since the last
+// snapshot.
+func BenchmarkLoadDBSnapshot(b *testing.B) {
+	_, db := allPairsLoad(b, 10)
+	if n := len(db.Snapshot().Flows); n != 21000 {
+		b.Fatalf("%d flows, want 21000", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db.Snapshot()
 	}
 }
 

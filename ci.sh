@@ -37,6 +37,13 @@
 # silently alter placements. The arena smoke then runs every registered
 # algorithm over the live workload — a contender that panics, drops an
 # executor, or shares a slot across topologies exits non-zero here.
+# Algorithm 1's differential test runs next to them under the race
+# detector: on 300 seeded random inputs the dense implementation must
+# return the map-based reference's assignment, stats and probe report bit
+# for bit. The load database's snapshot-order cache tests run there too,
+# including Snapshot racing ApplyWindow and Forget.
+# The tsdb ring runs 200 times over: its reader/writer stress only trips on
+# rare interleavings of a reader with the single writer.
 # The experiment package replays full paper figures, which is slow under
 # the race detector — hence the raised per-package timeout.
 # The shuffled pass reorders test execution within every package, catching
@@ -59,6 +66,9 @@ go test -count=1 -run '^$' -bench BenchmarkEmit -benchmem ./internal/live |
 go test -count=1 -fuzz 'FuzzDecodeValues' -fuzztime 15s -run '^$' ./internal/live
 go test -count=1 -fuzz 'FuzzDecodeFrame' -fuzztime 15s -run '^$' ./internal/live
 go test -race -count=1 -run 'TestGoldenAssignments' ./internal/scheduler
+go test -race -count=1 -run 'TestDenseScheduleMatchesReference' ./internal/core
+go test -race -count=1 -run 'TestSnapshotOrderCache|TestSnapshotFlowsIsolatedFromCache|TestSnapshotCacheUnderConcurrentWrites' ./internal/loaddb
+go test -count=200 ./internal/tsdb
 go test -race -count=1 -run 'TestHotSwapMidRunReschedulesCleanly' ./internal/live
 go run ./cmd/tstorm-bench -arena -duration 250ms -json /tmp/tstorm_arena_smoke.json
 go test -shuffle=on -count=1 ./...

@@ -209,16 +209,17 @@ func (g *Generator) generate(force bool) bool {
 	for _, down := range g.rt.DownNodes() {
 		in.OccupyNode(down)
 	}
+	// The incumbent assignment across all topologies feeds only the
+	// decision report's predicted-before objective and move count.
+	var incumbent *cluster.Assignment
 	if g.cfg.History != nil {
 		in.Probe = decision.NewBuilder()
-	}
-	// The incumbent assignment across all topologies, for the report's
-	// predicted-before objective and move count.
-	incumbent := cluster.NewAssignment(0)
-	for _, name := range topos {
-		if a, ok := g.rt.CurrentAssignment(name); ok {
-			for e, s := range a.Executors {
-				incumbent.Assign(e, s)
+		incumbent = cluster.NewAssignment(0)
+		for _, name := range topos {
+			if a, ok := g.rt.CurrentAssignment(name); ok {
+				for e, s := range a.Executors {
+					incumbent.Assign(e, s)
+				}
 			}
 		}
 	}

@@ -69,6 +69,16 @@ func NewTrafficAware(gamma float64) *TrafficAware {
 func (t *TrafficAware) Name() string { return "tstorm" }
 
 // Schedule runs Algorithm 1.
+//
+// The run works on dense indices: executors are numbered in order of first
+// appearance across the input topologies, nodes by their position in the
+// cluster, free slots by their position in FreeSlots() and topologies by
+// their order of first appearance. Pair traffic lives in per-executor
+// neighbour lists and the constraint state in flat slices, so the
+// placement loop hashes no string-keyed struct. Every floating-point sum
+// adds the same non-zero terms in the same order as the map-based
+// reference the differential test compares against (DESIGN.md §12), so
+// placements, gains and tie-breaks match it bit for bit.
 func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -90,12 +100,9 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 	}
 
 	// Collect executors of all topologies (the paper's E over M
-	// topologies) with loads l_i and pairwise traffic r_ii'.
-	var execs []topology.ExecutorID
-	for _, top := range in.Topologies {
-		execs = append(execs, top.Executors()...)
-	}
-	ne := len(execs)
+	// topologies) with their pairwise traffic r_ii'.
+	g := newTrafficGraph(in.Topologies, load.Flows)
+	ne := len(g.order)
 	k := in.Cluster.NumNodes()
 	// The paper's per-node executor cap γ·Ne/K, floored at one: a node
 	// that may host no executor at all would make every small topology
@@ -106,43 +113,49 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 		countCap = 1
 	}
 
-	totalTraffic := load.TotalTraffic()
 	// Line 2: sort executors by descending total traffic; ties broken by
 	// executor identity for determinism.
 	if !t.DisableTrafficOrder {
-		sort.SliceStable(execs, func(i, j int) bool {
-			ti, tj := totalTraffic[execs[i]], totalTraffic[execs[j]]
+		sort.SliceStable(g.order, func(i, j int) bool {
+			ti, tj := g.total[g.order[i]], g.total[g.order[j]]
 			if ti != tj {
 				return ti > tj
 			}
-			return execs[i].Less(execs[j])
+			return g.ids[g.order[i]].Less(g.ids[g.order[j]])
 		})
 	}
 
-	// Pairwise traffic, symmetrized: r(i,i') + r(i',i).
-	pair := make(map[loaddb.FlowKey]float64, len(load.Flows))
-	for _, f := range load.Flows {
-		pair[loaddb.FlowKey{From: f.From, To: f.To}] += f.Rate
-		pair[loaddb.FlowKey{From: f.To, To: f.From}] += f.Rate
+	// Mutable assignment state, indexed by node, slot and topology.
+	nodes := in.Cluster.Nodes()
+	nodeIdx := make(map[cluster.NodeID]int32, k)
+	capacity := make([]float64, k)
+	for i, n := range nodes {
+		nodeIdx[n.ID] = int32(i)
+		capacity[i] = n.CapacityMHz() * capFrac
 	}
-
-	// Mutable assignment state.
 	slots := in.FreeSlots()
-	nodeLoad := make(map[cluster.NodeID]float64)
-	nodeCount := make(map[cluster.NodeID]int)
-	// topoSlot[node][topology] = slot chosen for that topology on that node.
-	topoSlot := make(map[cluster.NodeID]map[string]cluster.SlotID)
-	slotTopo := make(map[cluster.SlotID]string) // slot → owning topology
-	// trafficToNode[i] is computed per executor during its placement.
-	placedOnNode := make(map[cluster.NodeID][]topology.ExecutorID)
+	slotNode := make([]int32, len(slots))
+	slotTopo := make([]int32, len(slots)) // slot → owning topology, -1 if none
+	for i, s := range slots {
+		slotNode[i] = nodeIdx[s.Node]
+		slotTopo[i] = -1
+	}
+	nodeLoad := make([]float64, k)
+	nodeCount := make([]int, k)
+	// topoSlot[node·T+topology] = slot chosen for that topology on that
+	// node, -1 if none.
+	topoSlot := make([]int32, k*g.topos)
+	for i := range topoSlot {
+		topoSlot[i] = -1
+	}
+	// gain[node] is the current executor's co-located traffic per node,
+	// summed from its placed neighbours and cleared after its placement.
+	gain := make([]float64, k)
+	placed := g.placedLists()
+	nodeOf := make([]int32, len(g.ids))
 
 	a := cluster.NewAssignment(0)
 	t.LastStats = Stats{}
-
-	capacityOf := func(n cluster.NodeID) float64 {
-		node, _ := in.Cluster.Node(n)
-		return node.CapacityMHz() * capFrac
-	}
 
 	probe := in.Probe
 	if probe != nil {
@@ -150,118 +163,291 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 		probe.Policy(t.Gamma, capFrac, countCap)
 	}
 
-	for rank, e := range execs {
-		li := load.ExecLoad[e]
-		// The slot a topology must reuse per node, if any.
-		type candidate struct {
-			slot cluster.SlotID
-			gain float64 // co-located traffic (maximize = minimize incremental)
+	// The executor being placed: its load, topology and strict-pass
+	// candidate record.
+	var (
+		li   float64
+		topo int32
+		opts []decision.SlotOption
+	)
+	// classify reproduces eval's checks in order and names the first
+	// failing constraint — the probe's per-candidate verdict.
+	classify := func(si int, relaxCount, relaxCapacity bool) decision.Constraint {
+		if owner := slotTopo[si]; owner >= 0 && owner != topo {
+			return decision.RejectedSlot // slot belongs to another topology
 		}
-		// Co-located traffic depends only on the node, not the slot:
-		// cache it per node across candidate slots.
-		gainCache := make(map[cluster.NodeID]float64)
-		nodeGain := func(n cluster.NodeID) float64 {
-			if g, ok := gainCache[n]; ok {
-				return g
-			}
-			g := 0.0
-			for _, other := range placedOnNode[n] {
-				g += pair[loaddb.FlowKey{From: e, To: other}]
-			}
-			gainCache[n] = g
-			return g
+		n := slotNode[si]
+		if ts := topoSlot[int(n)*g.topos+int(topo)]; ts >= 0 && int(ts) != si {
+			return decision.RejectedSlot // constraint 1: one slot per topology per node
 		}
-		// classify reproduces eval's checks in order and names the first
-		// failing constraint — the probe's per-candidate verdict.
-		classify := func(s cluster.SlotID, relaxCount, relaxCapacity bool) decision.Constraint {
-			owner, owned := slotTopo[s]
-			if owned && owner != e.Topology {
-				return decision.RejectedSlot // slot belongs to another topology
-			}
-			ts := topoSlot[s.Node][e.Topology]
-			if ts != (cluster.SlotID{}) && ts != s {
-				return decision.RejectedSlot // constraint 1: one slot per topology per node
-			}
-			if !relaxCapacity && nodeLoad[s.Node]+li > capacityOf(s.Node) {
-				return decision.RejectedCapacity // constraint 2
-			}
-			if !relaxCount && float64(nodeCount[s.Node]+1) > countCap {
-				return decision.RejectedCount // constraint 3
-			}
-			return ""
+		if !relaxCapacity && nodeLoad[n]+li > capacity[n] {
+			return decision.RejectedCapacity // constraint 2
 		}
-		var opts []decision.SlotOption
-		eval := func(relaxCount, relaxCapacity, record bool) (cluster.SlotID, bool) {
-			var best candidate
-			found := false
-			for _, s := range slots {
-				rejected := classify(s, relaxCount, relaxCapacity)
-				if record {
-					opts = append(opts, decision.SlotOption{
-						Slot: s, Gain: nodeGain(s.Node), Rejected: rejected,
-					})
-				}
-				if rejected != "" {
-					continue
-				}
-				gain := nodeGain(s.Node)
-				if !found || gain > best.gain {
-					best = candidate{slot: s, gain: gain}
-					found = true
-				}
+		if !relaxCount && float64(nodeCount[n]+1) > countCap {
+			return decision.RejectedCount // constraint 3
+		}
+		return ""
+	}
+	eval := func(relaxCount, relaxCapacity, record bool) (int, bool) {
+		best, bestGain, found := 0, 0.0, false
+		for si := range slots {
+			rejected := classify(si, relaxCount, relaxCapacity)
+			gn := gain[slotNode[si]]
+			if record {
+				opts = append(opts, decision.SlotOption{Slot: slots[si], Gain: gn, Rejected: rejected})
 			}
-			return best.slot, found
+			if rejected != "" {
+				continue
+			}
+			if !found || gn > bestGain {
+				best, bestGain, found = si, gn, true
+			}
+		}
+		return best, found
+	}
+
+	for rank, u := range g.order {
+		e := g.ids[u]
+		li, topo, opts = load.ExecLoad[e], g.topo[u], nil
+		// Co-located traffic depends only on the node, not the slot.
+		mine := placed.of(u)
+		for _, p := range mine {
+			gain[p.at] += p.rate
 		}
 
-		slot, ok := eval(false, false, probe != nil)
+		si, ok := eval(false, false, probe != nil)
 		relaxedCount, relaxedCapacity := false, false
 		if !ok {
 			t.LastStats.Relaxations++
 			relaxedCount = true
-			slot, ok = eval(true, false, false)
+			si, ok = eval(true, false, false)
 		}
 		if !ok {
 			relaxedCapacity = true
-			slot, ok = eval(true, true, false)
+			si, ok = eval(true, true, false)
 		}
 		if !ok {
 			return nil, fmt.Errorf("core: no slot available for executor %v", e)
 		}
+		n := slotNode[si]
 		if probe != nil {
-			for i := range opts {
-				if opts[i].Slot == slot {
-					opts[i].Chosen = true
-				}
-			}
+			opts[si].Chosen = true
 			probe.Place(decision.Placement{
 				Executor:        e,
 				Rank:            rank,
-				Traffic:         totalTraffic[e],
+				Traffic:         g.total[u],
 				Load:            li,
-				Slot:            slot,
-				Gain:            nodeGain(slot.Node),
+				Slot:            slots[si],
+				Gain:            gain[n],
 				RelaxedCount:    relaxedCount,
 				RelaxedCapacity: relaxedCapacity,
 				Options:         opts,
 			})
 		}
-		a.Assign(e, slot)
-		nodeLoad[slot.Node] += li
-		nodeCount[slot.Node]++
-		placedOnNode[slot.Node] = append(placedOnNode[slot.Node], e)
-		if topoSlot[slot.Node] == nil {
-			topoSlot[slot.Node] = make(map[string]cluster.SlotID)
+		for _, p := range mine {
+			gain[p.at] = 0
 		}
-		topoSlot[slot.Node][e.Topology] = slot
-		slotTopo[slot] = e.Topology
+		a.Assign(e, slots[si])
+		nodeLoad[n] += li
+		nodeCount[n]++
+		topoSlot[int(n)*g.topos+int(topo)] = int32(si)
+		slotTopo[si] = topo
+		nodeOf[u] = n
+		for _, v := range g.neighbours(u) {
+			placed.add(v.at, weighted{at: n, rate: v.rate})
+		}
 	}
 
-	t.LastStats.NodesUsed = a.NumUsedNodes()
-	t.LastStats.InterNodeTraffic = InterNodeTraffic(a, load)
+	used := make([]bool, k)
+	for _, n := range nodeOf {
+		if !used[n] {
+			used[n] = true
+			t.LastStats.NodesUsed++
+		}
+	}
+	t.LastStats.InterNodeTraffic = g.interNode(nodeOf, load.Flows)
 	if probe != nil {
 		probe.Finish(a, load)
 	}
 	return a, nil
+}
+
+// weighted is one entry of a dense adjacency list: a partner executor
+// (neighbour lists) or a node (placed lists) with a traffic rate.
+type weighted struct {
+	at   int32
+	rate float64
+}
+
+// trafficGraph restates the input topologies and a load snapshot's flows
+// over dense executor indices.
+type trafficGraph struct {
+	ids   []topology.ExecutorID // dense index → executor
+	topo  []int32               // dense index → topology index
+	topos int                   // distinct topology names
+	// order holds one dense index per executor of the input, in
+	// declaration order until line 2 sorts it; an executor listed by two
+	// same-named topologies appears twice, as it does in the paper's E.
+	order []int32
+	// total is each executor's incoming + outgoing rate, line 2's sort
+	// key, summed in flow order as Snapshot.TotalTraffic does.
+	total []float64
+	// ends[2f] and ends[2f+1] are flow f's endpoints, -1 for an executor
+	// outside the input.
+	ends []int32
+	// nbr[off[i]:end[i]] lists executor i's partners once each with the
+	// symmetrized rate r(i,i')+r(i',i), summed in flow order.
+	nbr      []weighted
+	off, end []int32
+}
+
+func newTrafficGraph(topos []*topology.Topology, flows []loaddb.Flow) *trafficGraph {
+	g := &trafficGraph{}
+	index := make(map[topology.ExecutorID]int32)
+	topoIdx := make(map[string]int32)
+	for _, top := range topos {
+		ti, ok := topoIdx[top.Name()]
+		if !ok {
+			ti = int32(len(topoIdx))
+			topoIdx[top.Name()] = ti
+		}
+		for _, e := range top.Executors() {
+			i, ok := index[e]
+			if !ok {
+				i = int32(len(g.ids))
+				index[e] = i
+				g.ids = append(g.ids, e)
+				g.topo = append(g.topo, ti)
+			}
+			g.order = append(g.order, i)
+		}
+	}
+	g.topos = len(topoIdx)
+	lookup := func(e topology.ExecutorID) int32 {
+		if i, ok := index[e]; ok {
+			return i
+		}
+		return -1
+	}
+
+	// One pass over the flows: endpoints, totals and degrees. Snapshots
+	// sort flows by From, so the From lookup is memoised.
+	n := len(g.ids)
+	g.total = make([]float64, n)
+	g.ends = make([]int32, 2*len(flows))
+	g.off = make([]int32, n+1)
+	var lastFrom topology.ExecutorID
+	from := int32(-1)
+	for fi, f := range flows {
+		if fi == 0 || f.From != lastFrom {
+			lastFrom, from = f.From, lookup(f.From)
+		}
+		to := lookup(f.To)
+		g.ends[2*fi], g.ends[2*fi+1] = from, to
+		if from >= 0 {
+			g.total[from] += f.Rate
+		}
+		if to >= 0 {
+			g.total[to] += f.Rate
+		}
+		if from >= 0 && to >= 0 {
+			g.off[from+1]++
+			g.off[to+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		g.off[i] += g.off[i-1]
+	}
+
+	// Second pass: every flow between two input executors lands in both
+	// endpoints' lists (twice in one list for a self-flow), in flow order.
+	g.nbr = make([]weighted, g.off[n])
+	g.end = append([]int32(nil), g.off[:n]...)
+	for fi, f := range flows {
+		from, to := g.ends[2*fi], g.ends[2*fi+1]
+		if from < 0 || to < 0 {
+			continue
+		}
+		g.nbr[g.end[from]] = weighted{at: to, rate: f.Rate}
+		g.end[from]++
+		g.nbr[g.end[to]] = weighted{at: from, rate: f.Rate}
+		g.end[to]++
+	}
+
+	// Merge repeated partners in place, keeping each partner's first slot
+	// and adding later rates into it, so each pair sums in flow order.
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for u := 0; u < n; u++ {
+		w := g.off[u]
+		for r := g.off[u]; r < g.end[u]; r++ {
+			v := g.nbr[r]
+			if p := pos[v.at]; p >= 0 {
+				g.nbr[p].rate += v.rate
+				continue
+			}
+			pos[v.at] = w
+			g.nbr[w] = v
+			w++
+		}
+		g.end[u] = w
+		for _, v := range g.nbr[g.off[u]:w] {
+			pos[v.at] = -1
+		}
+	}
+	return g
+}
+
+// neighbours returns executor i's partners with their symmetrized rates.
+func (g *trafficGraph) neighbours(i int32) []weighted { return g.nbr[g.off[i]:g.end[i]] }
+
+// placedLists are, per executor, the (node, rate) of every placed
+// occurrence of its neighbours, appended in placement order.
+type placedLists struct {
+	buf      []weighted
+	off, end []int32
+}
+
+// placedLists sizes each executor's list for every occurrence of every
+// neighbour.
+func (g *trafficGraph) placedLists() placedLists {
+	n := len(g.ids)
+	mult := make([]int32, n)
+	for _, i := range g.order {
+		mult[i]++
+	}
+	p := placedLists{off: make([]int32, n), end: make([]int32, n)}
+	size := int32(0)
+	for u := 0; u < n; u++ {
+		p.off[u], p.end[u] = size, size
+		for _, v := range g.neighbours(int32(u)) {
+			size += mult[v.at]
+		}
+	}
+	p.buf = make([]weighted, size)
+	return p
+}
+
+func (p *placedLists) of(i int32) []weighted { return p.buf[p.off[i]:p.end[i]] }
+
+func (p *placedLists) add(i int32, w weighted) {
+	p.buf[p.end[i]] = w
+	p.end[i]++
+}
+
+// interNode is InterNodeTraffic over dense placements: the rates of flows
+// whose endpoints are both placed and on different nodes, in flow order.
+func (g *trafficGraph) interNode(nodeOf []int32, flows []loaddb.Flow) float64 {
+	total := 0.0
+	for fi, f := range flows {
+		from, to := g.ends[2*fi], g.ends[2*fi+1]
+		if from >= 0 && to >= 0 && nodeOf[from] != nodeOf[to] {
+			total += f.Rate
+		}
+	}
+	return total
 }
 
 // InterNodeTraffic computes the objective of the paper's scheduling

@@ -202,14 +202,17 @@ func (g *Generator) generate(force bool) bool {
 	for _, down := range g.eng.DownNodes() {
 		in.OccupyNode(down)
 	}
+	// The incumbent assignment across all topologies feeds only the
+	// decision report's predicted-before objective and move count.
+	var incumbent *cluster.Assignment
 	if g.cfg.History != nil {
 		in.Probe = decision.NewBuilder()
-	}
-	incumbent := cluster.NewAssignment(0)
-	for _, name := range names {
-		if a, ok := g.eng.CurrentAssignment(name); ok {
-			for e, s := range a.Executors {
-				incumbent.Assign(e, s)
+		incumbent = cluster.NewAssignment(0)
+		for _, name := range names {
+			if a, ok := g.eng.CurrentAssignment(name); ok {
+				for e, s := range a.Executors {
+					incumbent.Assign(e, s)
+				}
 			}
 		}
 	}

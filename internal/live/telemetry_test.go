@@ -202,7 +202,11 @@ func TestMonitorGaugesAndSampleEvents(t *testing.T) {
 	mon := StartMonitor(eng, db, 20*time.Millisecond)
 	defer mon.Stop()
 
-	waitFor(t, 5*time.Second, "three sampling rounds", func() bool { return mon.Samples() >= 3 })
+	// Samples counts a round when it starts and the round emits its event
+	// when it ends, so wait for the third event, not the third count.
+	waitFor(t, 5*time.Second, "three sampling rounds", func() bool {
+		return mon.Samples() >= 3 && len(rec.Filter(trace.MonitorSampled)) >= 3
+	})
 	if age := mon.LastSampleAge(); age < 0 || age > 2*time.Second {
 		t.Errorf("last-sample age %v implausible for a live monitor", age)
 	}

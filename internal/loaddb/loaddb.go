@@ -57,6 +57,16 @@ type DB struct {
 	load    map[topology.ExecutorID]predictor.Estimator
 	mem     map[topology.ExecutorID]predictor.Estimator
 	flows   map[FlowKey]predictor.Estimator
+	// order caches the flow keys with their estimators in snapshot order
+	// (by From, then To). It is nil whenever a key was added or removed
+	// since the last Snapshot, which then re-sorts; otherwise Snapshot
+	// only reads the estimates out in the cached order.
+	order []flowEntry
+}
+
+type flowEntry struct {
+	key FlowKey
+	est predictor.Estimator
 }
 
 // New returns an empty database using the paper's EWMA estimator with
@@ -120,6 +130,7 @@ func (db *DB) UpdateTraffic(from, to topology.ExecutorID, rate float64) {
 	if est == nil {
 		est = db.factory()
 		db.flows[k] = est
+		db.order = nil
 	}
 	est.Update(rate)
 }
@@ -146,6 +157,7 @@ func (db *DB) ApplyWindow(loads map[topology.ExecutorID]float64, flows map[FlowK
 		if est == nil {
 			est = db.factory()
 			db.flows[k] = est
+			db.order = nil
 		}
 		est.Update(rate)
 	}
@@ -227,6 +239,7 @@ func (db *DB) Forget(topo string) {
 	for k := range db.flows {
 		if k.From.Topology == topo || k.To.Topology == topo {
 			delete(db.flows, k)
+			db.order = nil
 		}
 	}
 }
@@ -245,15 +258,22 @@ func (db *DB) Snapshot() *Snapshot {
 			s.ExecMem[e] = est.Value()
 		}
 	}
-	s.Flows = make([]Flow, 0, len(db.flows))
-	for k, est := range db.flows {
-		s.Flows = append(s.Flows, Flow{From: k.From, To: k.To, Rate: est.Value()})
-	}
-	sort.Slice(s.Flows, func(i, j int) bool {
-		if s.Flows[i].From != s.Flows[j].From {
-			return s.Flows[i].From.Less(s.Flows[j].From)
+	if db.order == nil {
+		db.order = make([]flowEntry, 0, len(db.flows))
+		for k, est := range db.flows {
+			db.order = append(db.order, flowEntry{key: k, est: est})
 		}
-		return s.Flows[i].To.Less(s.Flows[j].To)
-	})
+		sort.Slice(db.order, func(i, j int) bool {
+			a, b := db.order[i].key, db.order[j].key
+			if a.From != b.From {
+				return a.From.Less(b.From)
+			}
+			return a.To.Less(b.To)
+		})
+	}
+	s.Flows = make([]Flow, len(db.order))
+	for i, f := range db.order {
+		s.Flows[i] = Flow{From: f.key.From, To: f.key.To, Rate: f.est.Value()}
+	}
 	return s
 }

@@ -46,27 +46,29 @@ type Point struct {
 // Series is a fixed-capacity ring of samples. Writes (Append) must come
 // from a single goroutine; reads may come from any number of goroutines
 // concurrently. head counts samples ever written — slot head%cap is the
-// next write target — and is published after the slot contents, so a
-// reader that re-checks head after copying knows whether any slot it
-// read could have been overwritten mid-copy.
+// next write target. Each slot carries a stamp: the logical sequence
+// number (plus one) of the sample it holds, cleared before the writer
+// touches ts/val and set again after — the per-cell sequencing of the
+// tracing ring. A reader that copies a slot and then finds the stamp it
+// expected knows the copy is that sample, untorn.
 type Series struct {
-	name string
-	kind Kind
-	ts   []int64
-	vals []uint64 // math.Float64bits
-	head atomic.Uint64
+	name  string
+	kind  Kind
+	slots []slot
+	head  atomic.Uint64
+}
+
+type slot struct {
+	seq atomic.Uint64 // logical sample number + 1; 0 while being written
+	ts  atomic.Int64
+	val atomic.Uint64 // math.Float64bits
 }
 
 func newSeries(name string, kind Kind, capacity int) *Series {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &Series{
-		name: name,
-		kind: kind,
-		ts:   make([]int64, capacity),
-		vals: make([]uint64, capacity),
-	}
+	return &Series{name: name, kind: kind, slots: make([]slot, capacity)}
 }
 
 // Name returns the series name.
@@ -76,13 +78,13 @@ func (s *Series) Name() string { return s.name }
 func (s *Series) Kind() Kind { return s.kind }
 
 // Cap returns the ring capacity in samples.
-func (s *Series) Cap() int { return len(s.ts) }
+func (s *Series) Cap() int { return len(s.slots) }
 
 // Len reports how many samples are currently retained.
 func (s *Series) Len() int {
 	h := s.head.Load()
-	if h > uint64(len(s.ts)) {
-		return len(s.ts)
+	if h > uint64(len(s.slots)) {
+		return len(s.slots)
 	}
 	return int(h)
 }
@@ -91,20 +93,23 @@ func (s *Series) Len() int {
 // Sampler tick) must serialize Append calls itself. Allocation-free.
 func (s *Series) Append(tsNano int64, v float64) {
 	h := s.head.Load()
-	i := int(h % uint64(len(s.ts)))
-	atomic.StoreInt64(&s.ts[i], tsNano)
-	atomic.StoreUint64(&s.vals[i], math.Float64bits(v))
+	sl := &s.slots[h%uint64(len(s.slots))]
+	sl.seq.Store(0)
+	sl.ts.Store(tsNano)
+	sl.val.Store(math.Float64bits(v))
+	sl.seq.Store(h + 1)
 	s.head.Store(h + 1)
 }
 
 // Last returns up to n most recent samples, oldest first. The copy is
-// consistent: if the writer laps a slot mid-read the affected prefix is
-// dropped rather than returned torn.
+// consistent: every returned point passed its slot's stamp check, and if
+// the writer laps a slot mid-read the affected prefix is dropped rather
+// than returned torn.
 func (s *Series) Last(n int) []Point {
 	if n <= 0 {
 		return nil
 	}
-	capN := uint64(len(s.ts))
+	capN := uint64(len(s.slots))
 	for attempt := 0; ; attempt++ {
 		h := s.head.Load()
 		if h == 0 {
@@ -119,25 +124,29 @@ func (s *Series) Last(n int) []Point {
 		}
 		start := h - k
 		out := make([]Point, k)
+		valid := uint64(0) // out[valid:] all passed the stamp check
 		for i := uint64(0); i < k; i++ {
-			idx := (start + i) % capN
-			t := atomic.LoadInt64(&s.ts[idx])
-			v := atomic.LoadUint64(&s.vals[idx])
+			sl := &s.slots[(start+i)%capN]
+			t := sl.ts.Load()
+			v := sl.val.Load()
+			if sl.seq.Load() != start+i+1 {
+				// Overwritten since head was read, or being overwritten
+				// now: this sample and every older one are gone.
+				valid = i + 1
+				continue
+			}
 			out[i] = Point{TS: t, V: math.Float64frombits(v)}
 		}
-		h2 := s.head.Load()
-		if h2-start <= capN {
+		if valid == 0 {
 			return out
 		}
 		if attempt >= 4 {
 			// The writer lapped us repeatedly (it would take a pathological
-			// sampling cadence). Drop the possibly-torn oldest entries and
-			// keep the rest: slots numbered < h2-cap may have been rewritten.
-			torn := h2 - capN - start
-			if torn >= k {
+			// sampling cadence). Keep the newest samples that passed.
+			if valid >= k {
 				return nil
 			}
-			return out[torn:]
+			return out[valid:]
 		}
 	}
 }
@@ -145,7 +154,7 @@ func (s *Series) Last(n int) []Point {
 // Since returns the retained samples with TS >= cutoff (Unix nanos),
 // oldest first.
 func (s *Series) Since(cutoff int64) []Point {
-	pts := s.Last(len(s.ts))
+	pts := s.Last(len(s.slots))
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].TS >= cutoff })
 	return pts[i:]
 }
